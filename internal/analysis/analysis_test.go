@@ -371,7 +371,7 @@ func TestPassSelection(t *testing.T) {
 // TestDeterministicPackageList pins the packages under detnondet's
 // scope: removing one silently would unprotect it.
 func TestDeterministicPackageList(t *testing.T) {
-	want := []string{"sim", "mem", "htm", "stm", "tm", "harness", "obs", "trace", "eigenbench", "stamp", "energy"}
+	want := []string{"sim", "mem", "htm", "stm", "tm", "harness", "obs", "eigenbench", "stamp", "energy"}
 	have := make(map[string]bool)
 	for _, p := range detPackages {
 		have[strings.TrimPrefix(p, "internal/")] = true

@@ -33,9 +33,9 @@ import (
 //     (x++, x = append(x, ...)) are;
 //   - stdlib calls without an intrinsic entry are assumed effect-free
 //     (the tables in intrinsics.go cover the sources that matter);
-//   - a closure passed to (*sim.Proc).DeferFn or Exclusive runs at the
-//     epoch boundary under the serial engine, so its effects do not
-//     fold into the mid-epoch caller;
+//   - a closure passed to (*sim.Proc).Exclusive runs at the epoch
+//     boundary under the serial engine, so its effects do not fold into
+//     the mid-epoch caller;
 //   - a //rtm:oncommit directive on a function marks it as reviewed
 //     commit-gated (effects applied only if the transaction commits)
 //     and cuts propagation through it.

@@ -15,8 +15,8 @@ package analysis
 // receiver is the design. What is banned is the boundary-only API
 // surface (EffBoundary: classic Hierarchy entry points, Memory
 // read/write memoization, the L3's LRU-effectful lookup/insert, the
-// single-threaded recorder and trace buffer), package-level writes,
-// I/O, host concurrency, and calls the engine cannot resolve.
+// single-threaded recorder), package-level writes, I/O, host
+// concurrency, and calls the engine cannot resolve.
 
 // midepochDirective marks a function as running mid-epoch under the
 // sharded engine.

@@ -1,6 +1,7 @@
 // Package obs is the flight-recorder observability layer: one Recorder
-// per experiment point unifies the event plumbing that used to be
-// scattered across trace.Buffer text dumps and perf.Set counters.
+// per experiment point is the single sink for transaction events (begin,
+// commit with retries, abort with cause, fallback, elide), alongside the
+// perf.Set counters.
 //
 // A Recorder owns:
 //

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"rtmlab/internal/arch"
-	tracepkg "rtmlab/internal/trace"
+	"rtmlab/internal/obs"
 )
 
 func TestHLECounterAtomicity(t *testing.T) {
@@ -110,24 +110,22 @@ func TestHLEBankTransfers(t *testing.T) {
 
 func TestTraceTimeline(t *testing.T) {
 	sys := NewSystem(arch.Haswell(), HTM)
-	buf := tracepkg.NewBuffer(0)
-	sys.Trace = buf
+	rec := obs.NewRecorder("timeline", 0)
+	sys.SetRecorder(rec)
 	sys.Run(2, 3, func(c *Ctx) {
 		for i := 0; i < 30; i++ {
 			c.Atomic(func(tx Tx) { tx.Store(0, tx.Load(0)+1) })
 		}
 	})
-	// Every atomic block ends in either a hardware commit or a fallback
-	// serialisation.
-	done := buf.Count(tracepkg.KindCommit) + buf.Count(tracepkg.KindFallback)
-	if done != 60 {
-		t.Fatalf("commits+fallbacks traced = %d, want 60", done)
+	// Every atomic block records one commit, whether it committed in
+	// hardware or through the fallback lock.
+	if n := rec.KindCount(obs.KTxCommit); n != 60 {
+		t.Fatalf("commits recorded = %d, want 60", n)
 	}
-	if buf.Count(tracepkg.KindBegin) < 60 {
+	if rec.KindCount(obs.KTxBegin) < 60 {
 		t.Fatal("begins missing")
 	}
-	aborts := buf.Count(tracepkg.KindAbort)
-	if uint64(aborts) != sys.Aborts() {
-		t.Fatalf("traced aborts %d != counted %d", aborts, sys.Aborts())
+	if aborts := rec.KindCount(obs.KTxAbort); aborts != sys.Aborts() {
+		t.Fatalf("recorded aborts %d != counted %d", aborts, sys.Aborts())
 	}
 }

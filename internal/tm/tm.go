@@ -18,6 +18,11 @@
 //     cache line ("lock aborts", Fig. 12).
 //   - HTMBare: RTM with plain retry and no fallback lock, used by the
 //     Table I overhead microbenchmark.
+//   - HLE: one hardware lock-elision attempt, then the real lock.
+//   - Hybrid: RTM with a TinySTM fallback instead of the lock.
+//
+// All backends share one attempt function and one retry loop; a backend
+// is a retry policy (policy.go).
 package tm
 
 import (
@@ -34,7 +39,6 @@ import (
 	"rtmlab/internal/perf"
 	"rtmlab/internal/sim"
 	"rtmlab/internal/stm"
-	"rtmlab/internal/trace"
 	"rtmlab/internal/vm"
 )
 
@@ -104,6 +108,7 @@ type System struct {
 	STM      *stm.System
 	Counters *perf.Set
 
+	pol    policy
 	serial locks.RW
 	global locks.Ticket
 	pools  []*alloc.Pool
@@ -112,9 +117,6 @@ type System struct {
 	// RegionHook, if set, observes every parallel region's metrics (the
 	// stamp runner accumulates region-of-interest totals with it).
 	RegionHook func(sim.Result)
-
-	// Trace, if set, records a transaction-event timeline.
-	Trace *trace.Buffer
 
 	// Obs, if set, is the flight recorder receiving commit/abort events,
 	// histograms and the per-site abort matrix. Set it with SetRecorder so
@@ -177,6 +179,7 @@ func NewSystem(cfg *arch.Config, backend Backend) *System {
 		Heap:       alloc.NewHeap(pt),
 		Backend:    backend,
 		MaxRetries: DefaultMaxRetries,
+		pol:        policies[backend],
 		Counters:   perf.NewSet(),
 		serial:     locks.RW{Addr: serialLockAddr},
 		global:     locks.Ticket{Addr: globalLockAddr},
@@ -199,7 +202,7 @@ func NewSystem(cfg *arch.Config, backend Backend) *System {
 			case a.Cause == htm.CauseExplicit && htm.ExplicitCode(a.Status) == xabortLockHeld:
 				cnt.Inc("tm:abort.lock")
 				cnt.Inc("tm:abort.lock.explicit")
-			case a.Cause == htm.CauseConflict && a.ConflictLine == hleLockLine(),
+			case a.Cause == htm.CauseConflict && a.ConflictLine == mem.LineAddr(hleLockAddr),
 				a.Cause == htm.CauseExplicit && htm.ExplicitCode(a.Status) == xabortHLEHeld:
 				cnt.Inc("tm:abort.hlelock")
 			}
@@ -321,9 +324,6 @@ type Ctx struct {
 	inTx  bool
 	site  string
 	frees []pendingFree
-
-	// Retries counts HTM attempts of the current atomic block.
-	lastRetries int
 
 	// Flight-recorder state: the interned id of the current site, the
 	// cycle the atomic block started (commit slices span the whole block,
@@ -474,30 +474,6 @@ type Tx interface {
 // restartSignal implements Restart for the lock/seq backends.
 type restartSignal struct{}
 
-// Retries reports how many failed HTM attempts the last atomic block made
-// (0 for a first-try commit).
-func (c *Ctx) Retries() int { return c.lastRetries }
-
-// emit records a trace event if tracing is enabled. The trace buffer is
-// single-threaded, so shard workers buffer the event for boundary replay.
-func (c *Ctx) emit(kind trace.Kind, detail string) {
-	if c.sys.Trace == nil {
-		return
-	}
-	ev := trace.Event{
-		Cycle:  c.P.Cycles(),
-		Thread: c.P.ID(),
-		Kind:   kind,
-		Site:   c.site,
-		Detail: detail,
-	}
-	if c.P.ShardActive() {
-		c.P.DeferFn(func() { c.sys.Trace.Emit(ev) })
-		return
-	}
-	c.sys.Trace.Emit(ev)
-}
-
 // AtomicSite runs an atomic block tagged with a site name. Per-site
 // counters accumulate in System.Counters: "site:<name>:commits",
 // ":cycles" (inclusive of retries), ":aborts" and ":abort.<cause>" —
@@ -626,211 +602,6 @@ func (c *Ctx) noteSiteAbort(cause string) {
 	cnt := c.cnt()
 	cnt.Inc("site:" + c.site + ":aborts")
 	cnt.Inc("site:" + c.site + ":abort." + cause)
-}
-
-// Atomic executes body atomically under the system's backend.
-func (c *Ctx) Atomic(body func(t Tx)) {
-	if c.inTx {
-		panic("tm: nested Atomic (flatten in the workload)")
-	}
-	c.inTx = true
-	defer func() { c.inTx = false }()
-	c.cnt().Inc("tm:atomic")
-	c.resetFrees()
-	c.blockStart = c.P.Cycles()
-	c.attemptStart = c.blockStart
-	switch c.sys.Backend {
-	case Seq:
-		c.atomicDirect(body, rawTx{c})
-		c.obsCommit(0)
-	case Lock:
-		c.global()
-		c.atomicDirect(body, rawTx{c})
-		c.sys.global.Unlock(c)
-		c.obsCommit(0)
-	case STM:
-		c.atomicSTM(body)
-	case HTM:
-		c.atomicHTM(body, false)
-	case HTMBare:
-		c.atomicHTM(body, true)
-	case HLE:
-		c.atomicHLE(body)
-	case Hybrid:
-		c.atomicHybrid(body)
-	}
-	c.applyFrees()
-}
-
-// global acquires the global lock for the Lock backend.
-func (c *Ctx) global() { c.sys.global.Lock(c) }
-
-// atomicDirect runs body with direct accesses, honouring Restart. Each
-// iteration is one recorded attempt; a voluntary restart wastes its
-// attempt like any abort (cause "none"), keeping spans balanced.
-func (c *Ctx) atomicDirect(body func(t Tx), t Tx) {
-	for {
-		again := func() (again bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, is := r.(restartSignal); is {
-						c.obsAbort(obs.CauseNone, 0, -1)
-						again = true
-						return
-					}
-					panic(r)
-				}
-			}()
-			c.resetFrees()
-			c.beginAttempt()
-			body(t)
-			return false
-		}()
-		if !again {
-			return
-		}
-	}
-}
-
-// atomicSTM retries the body under TinySTM until it commits.
-func (c *Ctx) atomicSTM(body func(t Tx)) {
-	tries := 0
-	for {
-		tries++
-		done := func() (ok bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					a, is := r.(stm.Abort)
-					if !is {
-						// Sharded engine: a doomed attempt can fault in
-						// workload code on a mixed-epoch view before
-						// commit-time validation rejects it; squash the
-						// fault into the abort (see recoverHTM).
-						if !c.P.Sharded() {
-							panic(r)
-						}
-						fa, fok := c.stx.Fault()
-						if !fok {
-							panic(r)
-						}
-						c.cnt().Inc("tm:fault.sandbox")
-						a = fa
-					}
-					c.noteSiteAbort(a.Reason.String())
-					c.emit(trace.KindAbort, a.Reason.String())
-					c.obsAbort(a.Reason.ObsCause(), a.Addr, a.By)
-					ok = false
-					return
-				}
-			}()
-			c.resetFrees()
-			c.beginAttempt()
-			c.emit(trace.KindBegin, "")
-			c.stx.Begin()
-			body(stmTx{c})
-			c.stx.Commit()
-			c.emit(trace.KindCommit, "")
-			return true
-		}()
-		if done {
-			c.obsCommit(tries - 1)
-			return
-		}
-	}
-}
-
-// atomicHTM implements Algorithm 1 from the paper.
-func (c *Ctx) atomicHTM(body func(t Tx), bare bool) {
-	s := c.sys
-	retries := 0
-	for {
-		retries++
-		abort := c.tryHTM(body, bare)
-		if abort == nil {
-			c.lastRetries = retries - 1
-			c.obsCommit(retries - 1)
-			return
-		}
-		if !bare {
-			// If the abort says the serialisation lock was held (either
-			// our explicit abort or a conflict on the lock line), wait for
-			// it to be free before retrying.
-			lockHeld := (abort.Cause == htm.CauseExplicit && htm.ExplicitCode(abort.Status) == xabortLockHeld) ||
-				(abort.Cause == htm.CauseConflict && abort.ConflictLine == mem.LineAddr(serialLockAddr))
-			if lockHeld {
-				for !locks.CanRead(c.Load(serialLockAddr)) {
-					c.Pause()
-				}
-			}
-			if retries >= s.MaxRetries {
-				break
-			}
-		}
-	}
-	// Fall-back path: serialise on the write side of the lock. The lock
-	// write conflict-aborts every transaction that read the lock word.
-	c.cnt().Inc("tm:fallback")
-	c.emit(trace.KindFallback, "")
-	c.obsInstant(obs.KTxFallback)
-	s.serial.WriteLock(c)
-	c.atomicDirect(body, rawTx{c})
-	s.serial.WriteUnlock(c)
-	c.lastRetries = retries
-	c.obsCommit(retries)
-}
-
-// recoverHTM is the shared recovery for one hardware attempt: an
-// htm.Abort panic becomes the returned abort. Under the sharded engine a
-// runtime fault raised by the body is squashed into an abort too — a
-// doomed attempt can observe mixed-epoch state after the conflict that
-// kills it (the classic engine delivers the abort eagerly, the sharded
-// one at the next TM operation) and crash in workload code first. That
-// matches hardware, where any synchronous exception inside a
-// transactional region aborts it and the fault only reaches the OS if
-// the non-speculative re-execution repeats it; here the fallback paths
-// run the body non-speculatively, so a genuine workload bug still
-// crashes. Faults under the classic engine (which is opaque) propagate.
-func (c *Ctx) recoverHTM(r any, abort **htm.Abort) {
-	a, is := r.(htm.Abort)
-	if !is {
-		if !c.P.Sharded() {
-			panic(r)
-		}
-		fa, ok := c.htx.Fault()
-		if !ok {
-			panic(r)
-		}
-		c.cnt().Inc("tm:fault.sandbox")
-		a = fa
-	}
-	c.noteSiteAbort(a.Cause.String())
-	c.emit(trace.KindAbort, a.Cause.String())
-	c.obsAbort(obsCause(a.Cause), a.ConflictLine, a.ByThread)
-	*abort = &a
-}
-
-// tryHTM makes one hardware attempt; it returns nil on commit.
-func (c *Ctx) tryHTM(body func(t Tx), bare bool) (abort *htm.Abort) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.recoverHTM(r, &abort)
-		}
-	}()
-	c.resetFrees()
-	c.beginAttempt()
-	c.emit(trace.KindBegin, "")
-	c.sys.HTM.Begin(c.htx)
-	if !bare {
-		// Algorithm 1: subscribe to the serialisation lock inside the
-		// transaction; abort explicitly if a fallback writer holds it.
-		if !locks.CanRead(c.htx.Load(serialLockAddr)) {
-			c.htx.XAbort(xabortLockHeld)
-		}
-	}
-	body(htmTx{c})
-	c.htx.Commit()
-	c.emit(trace.KindCommit, "")
-	return nil
 }
 
 // rawTx: direct accesses (Seq and Lock backends, and the HTM fallback).

@@ -1,9 +1,11 @@
 package tm
 
 import (
+	"fmt"
 	"testing"
 
 	"rtmlab/internal/arch"
+	"rtmlab/internal/obs"
 	"rtmlab/internal/perf"
 	"rtmlab/internal/sim"
 )
@@ -250,14 +252,45 @@ func TestHTMPageFaultFallsThroughPreTouch(t *testing.T) {
 	}
 }
 
+// TestRetriesReported pins the retries a commit records: every failed
+// speculative attempt of the block, hardware and software alike, so a
+// commit's retries equal the aborts recorded for its block.
 func TestRetriesReported(t *testing.T) {
-	sys := NewSystem(arch.Haswell(), HTM)
-	sys.Run(1, 1, func(c *Ctx) {
-		c.Atomic(func(tx Tx) { tx.Store(0, 1) })
-		if c.Retries() != 0 {
-			t.Errorf("clean commit reported %d retries", c.Retries())
+	cfg := arch.Haswell()
+	cfg.L1 = arch.CacheGeom{SizeBytes: 8 * arch.LineSize, Ways: 2}
+	cfg.L3 = arch.CacheGeom{SizeBytes: 64 * arch.LineSize, Ways: 4}
+	for _, b := range []Backend{HTM, HLE, Hybrid} {
+		for _, lines := range []int{1, cfg.L1.Lines() * 2} {
+			t.Run(fmt.Sprintf("%s/%dlines", b, lines), func(t *testing.T) {
+				sys := NewSystem(cfg, b)
+				rec := obs.NewRecorder("retries", 0)
+				sys.SetRecorder(rec)
+				sys.Run(1, 1, func(c *Ctx) {
+					c.Atomic(func(tx Tx) {
+						for i := 0; i < lines; i++ {
+							tx.Store(uint64(i)*arch.LineSize, int64(i+1))
+						}
+					})
+				})
+				var commits []obs.Event
+				for _, e := range rec.ThreadEvents(0) {
+					if e.Kind == obs.KTxCommit {
+						commits = append(commits, e)
+					}
+				}
+				if len(commits) != 1 {
+					t.Fatalf("%d commits recorded, want 1", len(commits))
+				}
+				aborts := rec.KindCount(obs.KTxAbort)
+				if got := uint64(commits[0].Aux); got != aborts {
+					t.Fatalf("commit retries = %d, want the block's %d aborts", got, aborts)
+				}
+				if overflow := lines > 1; overflow != (aborts > 0) {
+					t.Fatalf("%d aborts for a %d-line block", aborts, lines)
+				}
+			})
 		}
-	})
+	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {

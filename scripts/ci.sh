@@ -46,6 +46,14 @@ trap 'rm -rf "$obsdir"' EXIT
 go run ./cmd/rtmlab -scale test -seeds 1 -trace "$obsdir/trace.json" -metrics "$obsdir/metrics" table4 > /dev/null
 go run ./cmd/tracecheck -metrics "$obsdir/metrics/table4.json" "$obsdir/trace.json"
 
+echo "== example smoke (abort-timeline on the flight recorder) =="
+# go build compiles the examples but nothing else runs them. This one
+# merges the recorder's per-thread tracks into a timeline; its first 60
+# events reach the first fallback serialisation, so require that line.
+go run ./examples/abort-timeline -n 60 > "$obsdir/timeline.txt"
+grep -Eq '^ *[0-9]+ t[0-9]+ fallback ' "$obsdir/timeline.txt" ||
+    { echo "abort-timeline: no fallback event in the timeline"; exit 1; }
+
 echo "== sharded engine smoke (traced -shards 4 + output invariance) =="
 # The same experiment on the epoch-synchronized sharded engine: the trace
 # must still validate, the metrics sidecar must carry the derived
