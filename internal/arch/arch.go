@@ -63,15 +63,13 @@ type Latency struct {
 
 // TSX holds the cost and capability parameters of the RTM model.
 type TSX struct {
-	XBeginCost  uint64 // cycles to start a transaction (register checkpoint)
-	XEndCost    uint64 // cycles to commit
-	AbortCost   uint64 // cycles to roll back and deliver the abort status
-	XAbortCost  uint64 // cycles for an explicit abort
-	MaxNest     int    // maximum nesting depth (flattened)
-	TickPeriod  uint64 // timer-interrupt period in cycles; a tick inside a txn aborts it
-	TickJitter  uint64 // uniform jitter applied to each tick (deterministic PRNG)
-	ReadSetMax  int    // 0 = bounded only by cache capacity
-	WriteSetMax int    // 0 = bounded only by L1 capacity
+	XBeginCost uint64 // cycles to start a transaction (register checkpoint)
+	XEndCost   uint64 // cycles to commit
+	AbortCost  uint64 // cycles to roll back and deliver the abort status
+	XAbortCost uint64 // cycles for an explicit abort
+	MaxNest    int    // maximum nesting depth (flattened)
+	TickPeriod uint64 // timer-interrupt period in cycles; a tick inside a txn aborts it
+	TickJitter uint64 // uniform jitter applied to each tick (deterministic PRNG)
 	// ReadSetLevel selects the cache level whose eviction kills the read
 	// set: 3 (Haswell: the inclusive L3) or 2 (a hypothetical design that
 	// tracks reads only to the private L2 — the ablation-readset
@@ -115,50 +113,24 @@ type Energy struct {
 
 // Sharding configures the epoch-synchronized sharded engine (see
 // internal/sim: sharded execution partitions cores across concurrent
-// shard workers that synchronize at coherence-epoch boundaries).
+// shard workers that synchronize at coherence-epoch boundaries every
+// DefaultEpochCycles simulated cycles).
 type Sharding struct {
 	// Shards selects the engine: 0 runs the classic serial min-clock
 	// scheduler; > 0 runs the epoch-synchronized sharded engine with that
 	// many shard workers; < 0 runs the sharded engine with an
 	// automatically chosen worker count (one per physical core, capped by
-	// the host's available parallelism). The simulated semantics of the
-	// sharded engine depend only on EpochCycles, never on the worker
-	// count, so output is byte-identical for any Shards >= 1 (and for
-	// auto).
+	// the host's available parallelism). The worker count partitions
+	// execution, never semantics, so output is byte-identical for any
+	// Shards >= 1 (and for auto).
 	Shards int
-	// EpochCycles is the coherence-epoch length in simulated cycles. All
-	// cross-shard state (cache misses, coherence directory updates,
-	// transactional conflict checks) is exchanged at epoch boundaries in
-	// (cycle, thread) order. 0 means DefaultEpochCycles.
-	EpochCycles uint64
-	// NoClassifier disables the epoch-scoped ownership classifier (on by
-	// default for sharded runs): with the classifier on, accesses whose
-	// frozen directory state proves no cross-core coherence action is
-	// needed — L3 hits with no foreign owner, full misses, exclusive
-	// store upgrades — are served inside the epoch against shard-local
-	// shadow state, with a compact ownership delta replayed at the
-	// boundary. Like EpochCycles, the classifier setting is a semantic
-	// knob: each setting is byte-identical across any worker count, but
-	// the two settings legitimately differ in simulated timing.
-	// NoClassifier=true reproduces the park-everything PR 5 engine.
-	NoClassifier bool
 }
 
-// Classifier reports whether the ownership classifier is enabled for
-// this sharding configuration.
-func (s Sharding) Classifier() bool { return s.Shards != 0 && !s.NoClassifier }
-
-// DefaultEpochCycles is the coherence-epoch length used when
-// Sharding.EpochCycles is zero.
+// DefaultEpochCycles is the sharded engine's coherence-epoch length in
+// simulated cycles. All cross-shard state (cache misses, coherence
+// directory updates, transactional conflict checks) is exchanged at
+// epoch boundaries in (cycle, thread) order.
 const DefaultEpochCycles = 4096
-
-// Epoch returns the effective epoch length.
-func (s Sharding) Epoch() uint64 {
-	if s.EpochCycles == 0 {
-		return DefaultEpochCycles
-	}
-	return s.EpochCycles
-}
 
 // Config is a complete machine description.
 type Config struct {

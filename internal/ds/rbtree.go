@@ -45,12 +45,6 @@ func NewRBTree(m Mem, al Allocator) RBTree {
 	return RBTree{Base: base, nil_: nilN}
 }
 
-// LoadRBTree rebuilds a handle from a header address (for trees reached
-// through pointers stored in other structures).
-func LoadRBTree(m Mem, base uint64) RBTree {
-	return RBTree{Base: base, nil_: i2a(m.Load(w(base, tNil)))}
-}
-
 func (t RBTree) root(m Mem) uint64       { return i2a(m.Load(w(t.Base, tRoot))) }
 func (t RBTree) setRoot(m Mem, n uint64) { m.Store(w(t.Base, tRoot), a2i(n)) }
 func left(m Mem, n uint64) uint64        { return i2a(m.Load(w(n, nLeft))) }

@@ -43,16 +43,10 @@ type Options struct {
 	// Shards selects the intra-point engine (see arch.Sharding): 0 is the
 	// classic serial scheduler, > 0 the epoch-synchronized sharded engine
 	// with that many workers, < 0 auto (one per simulated physical core,
-	// capped by the host). Sharded results depend only on EpochCycles,
-	// never on the worker count, so output is byte-identical for any
-	// Shards >= 1; it composes freely with Jobs (inter-point fan-out).
+	// capped by the host). Sharded results never depend on the worker
+	// count, so output is byte-identical for any Shards >= 1; it
+	// composes freely with Jobs (inter-point fan-out).
 	Shards int
-	// EpochCycles overrides the coherence-epoch length of the sharded
-	// engine (0 = arch.DefaultEpochCycles).
-	EpochCycles uint64
-	// NoClassifier disables the sharded engine's ownership classifier
-	// (see arch.Sharding); meaningful only with Shards != 0.
-	NoClassifier bool
 	// STMProtocol selects the software-TM concurrency-control protocol
 	// for every STM (and hybrid-fallback) run: "tinystm" (default; ""
 	// means the same), "tl2" or "norec". See internal/stm. Table and
@@ -83,7 +77,7 @@ func (o Options) backendLabel(b tm.Backend) string {
 
 // sharding returns the arch.Sharding the options describe.
 func (o Options) sharding() arch.Sharding {
-	return arch.Sharding{Shards: o.Shards, EpochCycles: o.EpochCycles, NoClassifier: o.NoClassifier}
+	return arch.Sharding{Shards: o.Shards}
 }
 
 // Machine returns the simulated machine description with the options'
@@ -101,7 +95,7 @@ func (o Options) Machine() *arch.Config {
 // With observability and sharding both off it returns mod unchanged, so
 // call sites pay nothing.
 func (o Options) obsMod(point int, label string, mod func(*tm.System)) func(*tm.System) {
-	if o.Obs == nil && o.Shards == 0 && o.EpochCycles == 0 && o.STMProtocol == "" {
+	if o.Obs == nil && o.Shards == 0 && o.STMProtocol == "" {
 		return mod
 	}
 	return func(sys *tm.System) {
@@ -126,11 +120,6 @@ func (o Options) obsSystem(cfg func() *tm.System, point int, label string) *tm.S
 		sys.SetRecorder(o.Obs.Recorder(point, label))
 	}
 	return sys
-}
-
-// DefaultOptions mirror a laptop-friendly but figure-quality setup.
-func DefaultOptions() Options {
-	return Options{Scale: stamp.Small, Seeds: 3}
 }
 
 // Table is a printable/exportable result grid.

@@ -151,12 +151,6 @@ type Txn struct {
 // Active reports whether a transaction is in flight.
 func (t *Txn) Active() bool { return t.active }
 
-// ReadSetSize returns the current number of read-set lines.
-func (t *Txn) ReadSetSize() int { return t.readSet.Len() }
-
-// WriteSetSize returns the current number of write-set lines.
-func (t *Txn) WriteSetSize() int { return t.writeSet.Len() }
-
 // System is the machine-wide RTM model shared by all hardware threads.
 type System struct {
 	cfg      *arch.Config
@@ -179,7 +173,8 @@ type System struct {
 	bwr *lineset.Table[uint64]
 
 	// slices are the per-core directory slices of the shard parallel
-	// phase (nil under the classic engine or with the classifier off).
+	// phase (nil under the classic engine or the L2-bounded read-set
+	// ablation).
 	// A line the frozen directory shows private to one core can be
 	// conflict-tracked in that core's slice at access time — no deferred
 	// probe, no boundary replay — because only that core's threads (one

@@ -76,7 +76,7 @@ func (s *System) initShard(p *sim.Proc, tx *Txn) {
 	// the common case from frozen private state. The L2-bounded read-set
 	// ablation keeps its eviction hook slice-unaware, so slices stay off
 	// there.
-	if s.cfg.Shard.Classifier() && s.cfg.TSX.ReadSetLevel != 2 {
+	if s.cfg.TSX.ReadSetLevel != 2 {
 		if s.slices == nil {
 			s.slices = make([]*lineset.Table[track], s.cfg.Cores)
 			for i := range s.slices {

@@ -103,7 +103,7 @@ type Hierarchy struct {
 	Rec *obs.Recorder
 
 	// shard holds the ownership-classifier state for the epoch-synchronized
-	// sharded engine (nil under the classic engine); see shard.go.
+	// sharded engine (nil until a sharded region arms it); see shard.go.
 	shard *shardState
 }
 

@@ -58,27 +58,21 @@ const (
 )
 
 // shardState is the per-hierarchy ownership-classifier state for the
-// epoch-synchronized sharded engine. Non-nil only when a sharded region
-// with the classifier enabled is running. The per-core sets are
-// epoch-scoped: they record only transitions made since the last
-// boundary (the frozen L3 directory itself is the epoch-start seed) and
-// are cleared by ShardEpochReset. Each set is written exclusively by its
-// core's shard worker mid-epoch — the same single-owner contract as the
-// private L1/L2 — and read by the coordinator at boundaries.
+// epoch-synchronized sharded engine, armed by InitShard when a sharded
+// region starts. The per-core sets are epoch-scoped: they record only
+// transitions made since the last boundary (the frozen L3 directory
+// itself is the epoch-start seed) and are cleared by ShardEpochReset.
+// Each set is written exclusively by its core's shard worker mid-epoch —
+// the same single-owner contract as the private L1/L2 — and read by the
+// coordinator at boundaries.
 type shardState struct {
 	installed []*lineset.Set // lines this core installed into L3 this epoch
 	claimed   []*lineset.Set // lines this core claimed exclusive this epoch
 }
 
-// InitShard arms (or disarms) the ownership classifier for a sharded
-// region. With classifier=false every access that PR 5's narrow
-// private-cache classes cannot serve parks for the boundary, exactly as
-// before.
-func (h *Hierarchy) InitShard(classifier bool) {
-	if !classifier {
-		h.shard = nil
-		return
-	}
+// InitShard arms the ownership classifier for a sharded region,
+// allocating its per-core tables on first use and clearing them after.
+func (h *Hierarchy) InitShard() {
 	if h.shard != nil {
 		h.ShardEpochReset()
 		return
@@ -94,17 +88,11 @@ func (h *Hierarchy) InitShard(classifier bool) {
 	h.shard = s
 }
 
-// ShardClassifier reports whether the ownership classifier is armed.
-func (h *Hierarchy) ShardClassifier() bool { return h.shard != nil }
-
 // ShardEpochReset clears the epoch-scoped classifier tables. The engine
 // calls it at every epoch boundary, after the ownership deltas have been
 // replayed into the live directory.
 func (h *Hierarchy) ShardEpochReset() {
 	s := h.shard
-	if s == nil {
-		return
-	}
 	for i := range s.installed {
 		s.installed[i].Clear()
 		s.claimed[i].Clear()
@@ -196,8 +184,8 @@ func (v *View) Read(addr uint64) int64 {
 }
 
 // LocalLoad attempts the shard-local portion of a load by core: an L1
-// hit, an L2 hit with an L1 fill, or — with the ownership classifier
-// armed — an L3 access whose frozen directory state proves no foreign
+// hit, an L2 hit with an L1 fill, or — through the ownership classifier
+// — an L3 access whose frozen directory state proves no foreign
 // coherence action is needed (no foreign owner, or a clean full miss),
 // served against the private caches with the directory transition
 // deferred as an ownership delta. It returns the access latency and true
@@ -227,12 +215,12 @@ func (h *Hierarchy) LocalLoad(core int, addr uint64, stats *Stats, sink ShardSin
 		h.localFillL1(core, la, stats, sink) //rtmvet:ignore Hooks.OnL1Evict is shard-safe by contract (see Hooks doc); rtmvet cannot see through the func field
 		return h.cfg.Lat.L2Hit, true
 	}
-	s := h.shard
-	if s == nil || sink == nil || h.Hooks.OnL2Evict != nil {
-		// Classifier off, or the L2-ablation eviction hook is wired (it
-		// is not shard-safe, so no local L2 fills): park for the boundary.
+	if h.Hooks.OnL2Evict != nil {
+		// The L2-ablation eviction hook is wired (it is not shard-safe,
+		// so no local L2 fills): park for the boundary.
 		return 0, false
 	}
+	s := h.shard
 	dir := h.l3.peekLine(la)
 	if dir != nil && dir.owner >= 0 && int(dir.owner) != core {
 		// Dirty in a peer's cache: the forward and downgrade must
@@ -261,10 +249,10 @@ func (h *Hierarchy) LocalLoad(core int, addr uint64, stats *Stats, sink ShardSin
 	return lat, true
 }
 
-// LocalStore attempts the shard-local portion of a store by core. The
-// PR 5 class — present in L1/L2 and already exclusively owned — needs no
-// directory transition at all. With the ownership classifier armed, three
-// wider classes complete locally with the exclusive claim deferred as an
+// LocalStore attempts the shard-local portion of a store by core. A line
+// present in L1/L2 and already exclusively owned needs no directory
+// transition at all. Through the ownership classifier, three wider
+// classes complete locally with the exclusive claim deferred as an
 // ownership delta: a silent E->M upgrade of a line whose frozen state
 // shows no foreign copy, a store hitting the frozen L3 on a line private
 // to this core, and a clean full miss. Returns (latency, true) on success
@@ -287,9 +275,6 @@ func (h *Hierarchy) LocalStore(core int, addr uint64, stats *Stats, sink ShardSi
 			// foreign copy (a nil dir means this core installed the line
 			// this epoch — inclusivity leaves no other way it could be in
 			// a private cache).
-			if s == nil || sink == nil {
-				return 0, false
-			}
 			if dir != nil && (dir.sharers&^bit(core) != 0 || (dir.owner >= 0 && int(dir.owner) != core)) {
 				return 0, false
 			}
@@ -311,7 +296,7 @@ func (h *Hierarchy) LocalStore(core int, addr uint64, stats *Stats, sink ShardSi
 		}
 		return cost, true
 	}
-	if s == nil || sink == nil || h.Hooks.OnL2Evict != nil {
+	if h.Hooks.OnL2Evict != nil {
 		return 0, false
 	}
 	// Store miss in the private caches: serveable only when frozen state
@@ -387,7 +372,7 @@ func (h *Hierarchy) localFillL1(core int, la uint64, stats *Stats, sink ShardSin
 		return
 	}
 	stats.L1Evictions++
-	if h.Rec != nil && sink != nil {
+	if h.Rec != nil {
 		sink.DeferMemEvent(core, obs.KL1Evict, victim)
 	}
 	if h.Hooks.OnL1Evict != nil {

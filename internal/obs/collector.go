@@ -26,22 +26,18 @@ type Collector struct {
 	// Run configuration stamped into the sidecars (see SetRunConfig);
 	// zero values mean the classic serial engine and the default
 	// (tinystm) protocol.
-	shards       int
-	epochCycles  uint64
-	noClassifier bool
-	stmProtocol  string
+	shards      int
+	stmProtocol string
 }
 
 // SetRunConfig records the run configuration so the sidecars are
-// self-describing: shards and the effective epoch length in simulated
-// cycles, whether the ownership classifier was disabled, and the STM
-// protocol when it is not the default ("" for tinystm). Host wall-clock
-// depends on the engine knobs, and semantic metrics depend on the
-// protocol, so a sidecar without them cannot be compared across runs.
-func (c *Collector) SetRunConfig(shards int, epochCycles uint64, noClassifier bool, stmProtocol string) {
+// self-describing: the shard count (a sharded run's timing sidecar also
+// carries the engine's epoch length) and the STM protocol when it is not
+// the default ("" for tinystm). Host wall-clock depends on the engine,
+// and semantic metrics depend on the protocol, so a sidecar without them
+// cannot be compared across runs.
+func (c *Collector) SetRunConfig(shards int, stmProtocol string) {
 	c.shards = shards
-	c.epochCycles = epochCycles
-	c.noClassifier = noClassifier
 	c.stmProtocol = stmProtocol
 }
 

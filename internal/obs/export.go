@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"rtmlab/internal/arch"
 )
 
 // Metrics sidecar: one JSON document per experiment, with every
@@ -145,8 +147,8 @@ type RecorderJSON struct {
 // when there is more than one), so cross-point totals don't have to be
 // re-derived downstream.
 type MetricsJSON struct {
-	Schema     string         `json:"schema"`
-	Experiment string         `json:"experiment"`
+	Schema     string `json:"schema"`
+	Experiment string `json:"experiment"`
 	// STMProtocol names the software-TM protocol of the run when it is
 	// not the default ("tl2", "norec") so sidecars from protocol-matrix
 	// runs are self-describing; absent for tinystm/default runs, which
@@ -319,17 +321,16 @@ type TimingJSON struct {
 }
 
 // TimingDoc is one experiment's timing sidecar document. The engine
-// configuration (shards, effective epoch length, classifier) is embedded
-// because host wall-clock depends on it: a timing sidecar that does not
-// say what engine produced it cannot be compared across runs.
+// configuration (shards and, for a sharded run, the epoch length) is
+// embedded because host wall-clock depends on it: a timing sidecar that
+// does not say what engine produced it cannot be compared across runs.
 type TimingDoc struct {
-	Schema       string       `json:"schema"`
-	Experiment   string       `json:"experiment"`
-	Shards       int          `json:"shards,omitempty"`
-	EpochCycles  uint64       `json:"epoch_cycles,omitempty"`
-	NoClassifier bool         `json:"no_classifier,omitempty"`
-	STMProtocol  string       `json:"stm_protocol,omitempty"`
-	Points       []TimingJSON `json:"points"`
+	Schema      string       `json:"schema"`
+	Experiment  string       `json:"experiment"`
+	Shards      int          `json:"shards,omitempty"`
+	EpochCycles uint64       `json:"epoch_cycles,omitempty"`
+	STMProtocol string       `json:"stm_protocol,omitempty"`
+	Points      []TimingJSON `json:"points"`
 }
 
 // expGroup is one experiment scope's recorders in merge order.
@@ -446,8 +447,9 @@ func (c *Collector) WriteMetrics(dir string) error {
 		}
 		if td := g.timing(); len(td.Points) > 0 {
 			td.Shards = c.shards
-			td.EpochCycles = c.epochCycles
-			td.NoClassifier = c.noClassifier
+			if c.shards != 0 {
+				td.EpochCycles = arch.DefaultEpochCycles
+			}
 			td.STMProtocol = c.stmProtocol
 			data, err := json.MarshalIndent(td, "", "  ")
 			if err != nil {

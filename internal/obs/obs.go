@@ -465,14 +465,6 @@ func (r *Recorder) ThreadEvents(tid int) []Event {
 	return r.threads[tid].events()
 }
 
-// CoreEvents returns the kept events of one core's memory track.
-func (r *Recorder) CoreEvents(core int) []Event {
-	if core < 0 || core >= len(r.cores) {
-		return nil
-	}
-	return r.cores[core].events()
-}
-
 // Threads returns the number of thread tracks touched.
 func (r *Recorder) Threads() int { return len(r.threads) }
 

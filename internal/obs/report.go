@@ -16,11 +16,11 @@ import (
 // The diff classifies every metric as *semantic* or *timing-derived*.
 // Semantic metrics (committed atomic blocks, per-site commits) are
 // workload results: two runs of the same experiment must agree on them
-// no matter the engine, shard count or classifier setting — a mismatch
-// means the runs computed different things. Timing-derived metrics
-// (latency percentiles, aborts, wasted cycles, serial fraction,
-// critical path) legitimately move when the engine or its knobs change;
-// they get delta-and-verdict treatment instead of an equality gate.
+// no matter the engine or shard count — a mismatch means the runs
+// computed different things. Timing-derived metrics (latency
+// percentiles, aborts, wasted cycles, serial fraction, critical path)
+// legitimately move when the engine changes; they get
+// delta-and-verdict treatment instead of an equality gate.
 
 // ReadMetricsFile loads one metrics sidecar document.
 func ReadMetricsFile(path string) (*MetricsJSON, error) {

@@ -4,7 +4,7 @@
 // under a min-clock scheduler. The sharded engine instead partitions the
 // physical cores into contiguous shards, runs each shard's threads on a
 // real goroutine worker, and quantizes simulated time into coherence
-// epochs of Cfg.Shard.Epoch() cycles:
+// epochs of arch.DefaultEpochCycles cycles:
 //
 //   - Parallel phase: every shard runs its threads (one at a time, in
 //     thread-id order) against frozen shared state. Operations served
@@ -36,6 +36,7 @@ import (
 	"runtime"
 	"slices"
 
+	"rtmlab/internal/arch"
 	"rtmlab/internal/lineset"
 	"rtmlab/internal/mem"
 	"rtmlab/internal/obs"
@@ -147,13 +148,12 @@ type shardWorker struct {
 }
 
 type shardEngine struct {
-	e        *Engine
-	epochLen uint64
-	end      uint64 // current epoch end (exclusive)
-	workers  []*shardWorker
-	done     chan struct{}
-	order    []boundaryRef // boundary scratch, reused across epochs
-	epochs   uint64
+	e       *Engine
+	end     uint64 // current epoch end (exclusive)
+	workers []*shardWorker
+	done    chan struct{}
+	order   []boundaryRef // boundary scratch, reused across epochs
+	epochs  uint64
 	// boundaryOps counts operations replayed serially at boundaries (the
 	// serial fraction's numerator, exported as sim:boundary.ops).
 	boundaryOps uint64
@@ -186,12 +186,11 @@ func newShardEngine(e *Engine) *shardEngine {
 	cfg := e.Cfg
 	nw := shardWorkers(cfg.Shard.Shards, cfg.Cores)
 	se := &shardEngine{
-		e:        e,
-		epochLen: cfg.Shard.Epoch(),
-		done:     make(chan struct{}, nw),
+		e:    e,
+		end:  arch.DefaultEpochCycles,
+		done: make(chan struct{}, nw),
 	}
-	e.H.InitShard(cfg.Shard.Classifier())
-	se.end = se.epochLen
+	e.H.InitShard()
 	for i := 0; i < nw; i++ {
 		se.workers = append(se.workers, &shardWorker{
 			se:   se,
@@ -334,24 +333,31 @@ func (se *shardEngine) boundary() {
 	// The ownership deltas are in the live directory now; the next epoch's
 	// classifier tables seed afresh from the frozen state.
 	e.H.ShardEpochReset()
-	// Consume the applied prefix of each def log; once a thread's log is
-	// drained its buffered stores are all in the backing store and the
-	// write buffer can be cleared.
+	// Consume the applied prefix of each def log. The stores in that
+	// prefix are in the backing store now, so the write buffer is rebuilt
+	// from the surviving DefStore entries alone: a stale entry would
+	// shadow a later store by another thread.
 	for _, p := range e.procs {
 		ps := p.sh
 		n := 0
 		for n < len(ps.defs) && ps.defs[n].cycle < end {
 			n++
 		}
-		if n > 0 {
-			rem := copy(ps.defs, ps.defs[n:])
-			for i := rem; i < len(ps.defs); i++ {
-				ps.defs[i] = ShardDef{} // release Name referents
-			}
-			ps.defs = ps.defs[:rem]
+		if n == 0 {
+			continue
 		}
-		if len(ps.defs) == 0 && ps.wbuf.Len() != 0 {
+		rem := copy(ps.defs, ps.defs[n:])
+		for i := rem; i < len(ps.defs); i++ {
+			ps.defs[i] = ShardDef{} // release Name referents
+		}
+		ps.defs = ps.defs[:rem]
+		if ps.wbuf.Len() != 0 {
 			ps.wbuf.Clear()
+			for i := range ps.defs {
+				if d := &ps.defs[i]; d.Kind == DefStore {
+					ps.wbuf.Put(d.Addr, d.Val)
+				}
+			}
 		}
 	}
 	if e.remaining == 0 {
@@ -414,7 +420,7 @@ func (se *shardEngine) advance() {
 	if m == inf {
 		panic("sim: shard deadlock: every live thread is blocked")
 	}
-	se.end = (m/se.epochLen + 1) * se.epochLen
+	se.end = (m/arch.DefaultEpochCycles + 1) * arch.DefaultEpochCycles
 }
 
 // applyDef executes one deferred operation at the boundary.

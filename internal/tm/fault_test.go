@@ -22,7 +22,7 @@ func TestFaultSandboxSharded(t *testing.T) {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			const threads = 2
-			sys := NewSystem(shardCfg(2, 0), b)
+			sys := NewSystem(shardCfg(2), b)
 			sys.H.Poke(0, 5)
 			// One simulated doomed attempt per thread: the first try
 			// faults, the re-execution (now consistent) commits.

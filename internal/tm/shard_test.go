@@ -12,9 +12,9 @@ import (
 // shardBackends are the backends exercised under the sharded engine.
 var shardBackends = []Backend{Seq, Lock, STM, HTM, HTMBare, HLE, Hybrid}
 
-func shardCfg(shards int, epoch uint64) *arch.Config {
+func shardCfg(shards int) *arch.Config {
 	cfg := arch.Haswell()
-	cfg.Shard = arch.Sharding{Shards: shards, EpochCycles: epoch}
+	cfg.Shard = arch.Sharding{Shards: shards}
 	return cfg
 }
 
@@ -106,22 +106,21 @@ func TestShardSingleThreadDifferential(t *testing.T) {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			want := bankRun(arch.Haswell(), b, 1, 160)
-			got := bankRun(shardCfg(2, 0), b, 1, 160)
+			got := bankRun(shardCfg(2), b, 1, 160)
 			diffFingerprint(t, want, got, "shards=2 vs classic")
 		})
 	}
 }
 
 // TestShardCountInvariance is the tentpole determinism claim at the tm
-// level: the sharded engine's results depend only on the epoch length,
-// never on the worker count.
+// level: the sharded engine's results never depend on the worker count.
 func TestShardCountInvariance(t *testing.T) {
 	for _, b := range shardBackends {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			want := bankRun(shardCfg(1, 0), b, 4, 120)
+			want := bankRun(shardCfg(1), b, 4, 120)
 			for _, shards := range []int{2, 4, -1} {
-				got := bankRun(shardCfg(shards, 0), b, 4, 120)
+				got := bankRun(shardCfg(shards), b, 4, 120)
 				diffFingerprint(t, want, got, fmt.Sprintf("shards=%d vs shards=1", shards))
 			}
 		})
@@ -138,7 +137,7 @@ func TestShardBankConservation(t *testing.T) {
 		}
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			fp := bankRun(shardCfg(4, 0), b, 4, 120)
+			fp := bankRun(shardCfg(4), b, 4, 120)
 			var total int64
 			for _, v := range fp.Balances {
 				total += v
@@ -161,7 +160,7 @@ func TestShardBankConservation(t *testing.T) {
 // worker count.
 func TestShardObsAndTraceInvariance(t *testing.T) {
 	run := func(shards int) (map[string]uint64, uint64, uint64) {
-		sys := NewSystem(shardCfg(shards, 0), HTM)
+		sys := NewSystem(shardCfg(shards), HTM)
 		rec := obs.NewRecorder("shard-test", 0)
 		sys.SetRecorder(rec)
 		for i := 0; i < 24; i++ {

@@ -26,7 +26,7 @@ func TestSpanPathZeroAlloc(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := arch.Haswell()
 				if sharded {
-					cfg = shardCfg(2, 0)
+					cfg = shardCfg(2)
 				}
 				sys := NewSystem(cfg, b)
 				sys.SetRecorder(obs.NewRecorder("alloc", 64))
