@@ -15,7 +15,9 @@
 // per-benchmark deltas are still printed, with a "high" marker beyond
 // tolerance, for drilling into a failed gate. Repeated runs of the
 // same benchmark (go test -count=N) are reduced to their minimum
-// before comparing, the standard noise filter.
+// before comparing, the standard noise filter. Benchmark names are
+// stored without go test's "-N" GOMAXPROCS suffix, so a snapshot taken
+// on one host compares against a run on a host with another core count.
 package main
 
 import (
@@ -79,6 +81,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *baseline, err)
 			os.Exit(1)
 		}
+		stripProcs(base.Benchmarks) // snapshots written before names were normalised
 		report, regressed := compare(base, snap, *tolPct, *only)
 		fmt.Print(report)
 		if regressed {
@@ -126,15 +129,39 @@ func parse(r io.Reader, date string) Snapshot {
 		fmt.Fprintf(os.Stderr, "benchjson: read: %v\n", err)
 		os.Exit(1)
 	}
+	stripProcs(snap.Benchmarks)
 	return snap
+}
+
+// stripProcs removes the "-N" suffix that go test appends to every
+// benchmark name when GOMAXPROCS is N > 1, so runs on hosts with
+// different core counts key their benchmarks alike. A trailing
+// "-<digits>" is taken as that suffix only when every name in the run
+// ends in the same one: on a 1-CPU host there is no suffix, yet a name
+// such as "BenchmarkFig6Locality/9e-1" still ends in digits.
+func stripProcs(bs []Benchmark) {
+	suffix := ""
+	for _, b := range bs {
+		i := strings.LastIndexByte(b.Name, '-')
+		if n, err := strconv.Atoi(b.Name[i+1:]); i < 0 || err != nil || n < 2 ||
+			(suffix != "" && b.Name[i:] != suffix) {
+			return // go test never prints a -1 suffix
+		}
+		suffix = b.Name[i:]
+	}
+	for i := range bs {
+		bs[i].Name = strings.TrimSuffix(bs[i].Name, suffix)
+	}
 }
 
 // parseLine parses one result line of the form
 //
 //	BenchmarkName-8  1234  56.7 ns/op  0 B/op  0 allocs/op  1.5 speedup
 //
-// into a Benchmark. Lines that don't look like results (e.g. a bare
-// "BenchmarkX" name echoed before its result) are rejected.
+// into a Benchmark, keeping the name as printed (parse strips the
+// GOMAXPROCS suffix once the whole run is read). Lines that don't look
+// like results (e.g. a bare "BenchmarkX" name echoed before its result)
+// are rejected.
 func parseLine(pkg, line string) (Benchmark, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || len(f)%2 != 0 {

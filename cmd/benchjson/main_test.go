@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestParseGolden(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 4", len(snap.Benchmarks))
 	}
 	b := snap.Benchmarks[0]
-	if b.Package != "rtmlab/internal/lineset" || b.Name != "BenchmarkSetAddClear-8" {
+	if b.Package != "rtmlab/internal/lineset" || b.Name != "BenchmarkSetAddClear" {
 		t.Fatalf("first = %+v", b)
 	}
 	if b.Iterations != 5616596 || b.NsPerOp != 215.5 {
@@ -50,6 +51,54 @@ func TestParseGolden(t *testing.T) {
 			strings.Contains(b.Name, "BadValue") {
 			t.Errorf("malformed line parsed as result: %+v", b)
 		}
+	}
+}
+
+// TestParseStripsProcsSuffix pins the name normalisation: go test's
+// "-N" GOMAXPROCS suffix is dropped when every result carries it, and a
+// name that merely ends in digits is kept on a run without the suffix.
+func TestParseStripsProcsSuffix(t *testing.T) {
+	names := func(transcript string) []string {
+		var out []string
+		for _, b := range parse(strings.NewReader(transcript), "d").Benchmarks {
+			out = append(out, b.Name)
+		}
+		return out
+	}
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{ // GOMAXPROCS=2: every name carries -2
+			"BenchmarkA-2 10 5.0 ns/op\nBenchmarkFig6Locality/9e-1-2 1 9.0 ns/op\n",
+			[]string{"BenchmarkA", "BenchmarkFig6Locality/9e-1"},
+		},
+		{ // GOMAXPROCS=1: no suffix, so a trailing "-1" is part of the name
+			"BenchmarkA 10 5.0 ns/op\nBenchmarkFig6Locality/9e-1 1 9.0 ns/op\n",
+			[]string{"BenchmarkA", "BenchmarkFig6Locality/9e-1"},
+		},
+		{ // only a -1 name: go test never prints a -1 suffix
+			"BenchmarkFig6Locality/9e-1 1 9.0 ns/op\n",
+			[]string{"BenchmarkFig6Locality/9e-1"},
+		},
+		{ // mixed suffixes (-cpu 2,4): not a single GOMAXPROCS, left as printed
+			"BenchmarkA-2 10 5.0 ns/op\nBenchmarkA-4 10 4.0 ns/op\n",
+			[]string{"BenchmarkA-2", "BenchmarkA-4"},
+		},
+	}
+	for _, tc := range cases {
+		if got := names(tc.in); !slices.Equal(got, tc.want) {
+			t.Errorf("parse(%q) names = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+
+	// A suffixed baseline compares against an unsuffixed run once both
+	// are normalised.
+	base := Snapshot{Benchmarks: []Benchmark{bm("p", "BenchmarkA-2", 100)}}
+	stripProcs(base.Benchmarks)
+	cur := parse(strings.NewReader("pkg: p\nBenchmarkA 10 100.0 ns/op\n"), "d")
+	if report, regressed := compare(base, cur, 2.0, ""); regressed {
+		t.Fatalf("suffixed baseline found no overlap:\n%s", report)
 	}
 }
 

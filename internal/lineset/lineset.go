@@ -16,11 +16,12 @@
 //     so a transaction that fits in the high-water mark allocates
 //     nothing.
 //
-// Iteration (Range) visits slots in table order, which is a
-// deterministic function of the insertion/deletion history — unlike Go
-// map ranges there is no per-process randomization. Callers that need
-// insertion order (commit-time replay) must keep their own ordered log;
-// the TM layers do.
+// Table.Range visits slots in table order, which is a deterministic
+// function of the insertion/deletion history — unlike Go map ranges
+// there is no per-process randomization — and costs O(capacity).
+// Set.Range visits keys in insertion order from the set's own key log
+// and costs O(live keys), so clearing a large-capacity read set after a
+// short transaction stays cheap.
 //
 // Payload values are stored inline and are expected to be plain old
 // data: Clear does not zero dead slots, so pointer-bearing payloads
@@ -237,9 +238,12 @@ func (t *Table[V]) grow() {
 }
 
 // Set is an open-addressed set of uint64 keys with O(1) Clear — a
-// Table with no payload.
+// Table with no payload, plus an insertion-ordered key log so that Range
+// costs O(live keys) rather than O(capacity). Keys are never removed
+// individually, so the log and the table always hold the same keys.
 type Set struct {
-	t Table[struct{}]
+	t    Table[struct{}]
+	keys []uint64
 }
 
 // NewSet returns a set pre-sized to hold hint keys without growing.
@@ -256,7 +260,7 @@ func NewSet(hint int) *Set {
 // Len returns the number of keys.
 //
 //rtm:hot
-func (s *Set) Len() int { return s.t.n }
+func (s *Set) Len() int { return len(s.keys) }
 
 // Contains reports whether k is in the set.
 //
@@ -268,21 +272,26 @@ func (s *Set) Contains(k uint64) bool { return s.t.find(k) >= 0 }
 //rtm:hot
 func (s *Set) Add(k uint64) bool {
 	_, added := s.t.Upsert(k)
+	if added {
+		s.keys = append(s.keys, k)
+	}
 	return added
 }
-
-// Remove deletes k and reports whether it was present.
-//
-//rtm:hot
-func (s *Set) Remove(k uint64) bool { return s.t.Delete(k) }
 
 // Clear empties the set in O(1), keeping its capacity.
 //
 //rtm:hot
-func (s *Set) Clear() { s.t.Clear() }
+func (s *Set) Clear() {
+	s.t.Clear()
+	s.keys = s.keys[:0]
+}
 
-// Range calls f for each key in table order until f returns false. The
-// set must not be mutated during the iteration.
+// Range calls f for each key in insertion order until f returns false.
+// The set must not be mutated during the iteration.
 func (s *Set) Range(f func(k uint64) bool) {
-	s.t.Range(func(k uint64, _ *struct{}) bool { return f(k) })
+	for _, k := range s.keys {
+		if !f(k) {
+			return
+		}
+	}
 }

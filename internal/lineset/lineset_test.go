@@ -2,6 +2,7 @@ package lineset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -62,13 +63,10 @@ func TestSetBasic(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	got := map[uint64]bool{}
-	s.Range(func(k uint64) bool { got[k] = true; return true })
-	if len(got) != 2 || !got[0] || !got[5] {
-		t.Fatalf("Range visited %v", got)
-	}
-	if !s.Remove(5) || s.Remove(5) {
-		t.Fatal("Remove reported wrong presence")
+	var got []uint64
+	s.Range(func(k uint64) bool { got = append(got, k); return true })
+	if len(got) != 2 || got[0] != 5 || got[1] != 0 {
+		t.Fatalf("Range visited %v, want [5 0] (insertion order)", got)
 	}
 	s.Clear()
 	if s.Len() != 0 || s.Contains(0) {
@@ -122,11 +120,23 @@ func TestGrowPreservesEntries(t *testing.T) {
 
 // applyOps drives a Table and a reference map through one operation
 // sequence, failing on any divergence. Each op is three bytes:
-// opcode, key selector, value.
+// opcode, key selector, value. A Set shadows the table's inserts and
+// clears against an insertion-ordered reference log, so its Range order
+// and Len are checked across Clear and growth too.
 func applyOps(t *testing.T, ops []byte) {
 	t.Helper()
 	tb := NewTable[uint64](0)
 	ref := map[uint64]uint64{}
+	set := NewSet(0)
+	var setRef []uint64 // keys in first-insertion order since the last clear
+	setAdd := func(k uint64) {
+		if added := set.Add(k); added != !slices.Contains(setRef, k) {
+			t.Fatalf("Set.Add(%d) added=%v, reference log %v", k, added, setRef)
+		}
+		if !slices.Contains(setRef, k) {
+			setRef = append(setRef, k)
+		}
+	}
 	// A small key universe forces collisions, repeats and delete/reuse.
 	key := func(b byte) uint64 { return uint64(b%31) * 64 }
 	for len(ops) >= 3 {
@@ -137,6 +147,7 @@ func applyOps(t *testing.T, ops []byte) {
 		case 0: // insert/update
 			tb.Put(k, v)
 			ref[k] = v
+			setAdd(k)
 		case 1: // lookup
 			gv, gok := tb.Get(k)
 			rv, rok := ref[k]
@@ -152,8 +163,11 @@ func applyOps(t *testing.T, ops []byte) {
 				}
 			}
 		case 3: // clear
+			checkSetRange(t, set, setRef)
 			tb.Clear()
 			ref = map[uint64]uint64{}
+			set.Clear()
+			setRef = setRef[:0]
 		case 4: // upsert + mutate through the pointer
 			p, inserted := tb.Upsert(k)
 			_, present := ref[k]
@@ -162,11 +176,16 @@ func applyOps(t *testing.T, ops []byte) {
 			}
 			*p = v
 			ref[k] = v
+			setAdd(k)
 		}
 		if tb.Len() != len(ref) {
 			t.Fatalf("Len = %d, reference %d", tb.Len(), len(ref))
 		}
+		if set.Len() != len(setRef) {
+			t.Fatalf("Set.Len = %d, reference %d", set.Len(), len(setRef))
+		}
 	}
+	checkSetRange(t, set, setRef)
 	// Final full cross-check, both directions.
 	for k, rv := range ref {
 		if gv, ok := tb.Get(k); !ok || gv != rv {
@@ -183,6 +202,24 @@ func applyOps(t *testing.T, ops []byte) {
 	})
 	if n != len(ref) {
 		t.Fatalf("Range visited %d entries, reference has %d", n, len(ref))
+	}
+}
+
+// checkSetRange requires s.Range to visit exactly want, in order, and
+// to stop when f returns false.
+func checkSetRange(t *testing.T, s *Set, want []uint64) {
+	t.Helper()
+	var got []uint64
+	s.Range(func(k uint64) bool { got = append(got, k); return true })
+	if !slices.Equal(got, want) {
+		t.Fatalf("Set.Range visited %v, want %v", got, want)
+	}
+	if len(want) > 1 {
+		n := 0
+		s.Range(func(uint64) bool { n++; return false })
+		if n != 1 {
+			t.Fatalf("Set.Range continued after f returned false (%d calls)", n)
+		}
 	}
 }
 
@@ -246,6 +283,26 @@ func BenchmarkSetAddClear(b *testing.B) {
 			s.Add(k)
 		}
 		s.Clear()
+	}
+}
+
+// BenchmarkSetRangeSparse is an HTM read set's commit-time walk: a set
+// sized for 512 lines that holds only 8, ranged and then cleared. Its
+// cost tracks the live keys, not the slot capacity.
+func BenchmarkSetRangeSparse(b *testing.B) {
+	s := NewSet(512)
+	ks := keys(8)
+	var sum uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, k := range ks {
+			s.Add(k)
+		}
+		s.Range(func(k uint64) bool { sum += k; return true })
+		s.Clear()
+	}
+	if sum == 0 {
+		b.Fatal("Range visited nothing")
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // not allocate at steady state. The recorder uses a small ring limit so
 // the per-thread event streams reach their high-water mark during
 // warmup and then recycle — with an unlimited ring the append itself
-// would dominate as amortised growth. Runs the classic and sharded
-// engines (sharded adds the DeferEvent begin/commit replay path).
+// would dominate as amortised growth. The cycle goes through
+// AtomicSite, so the per-site counter keys are pinned as interned too.
+// Runs the classic and sharded engines (sharded adds the DeferEvent
+// begin/commit replay path).
 func TestSpanPathZeroAlloc(t *testing.T) {
 	for _, b := range []Backend{Lock, STM, HTM} {
 		for _, sharded := range []bool{false, true} {
@@ -34,12 +36,8 @@ func TestSpanPathZeroAlloc(t *testing.T) {
 					sys.H.Poke(uint64(i)*arch.LineSize, int64(i))
 				}
 				sys.Run(1, 1, func(c *Ctx) {
-					// c.Atomic, not AtomicSite: the site wrapper builds
-					// "site:<name>:..." counter keys per call (a known,
-					// recorder-independent convenience cost); this test pins
-					// the recorder span path itself.
 					cycle := func() {
-						c.Atomic(func(tx Tx) {
+						c.AtomicSite("incr", func(tx Tx) {
 							for i := 0; i < 8; i++ {
 								a := uint64(i) * arch.LineSize
 								tx.Store(a, tx.Load(a)+1)

@@ -322,7 +322,7 @@ type Ctx struct {
 	htx   *htm.Txn
 	stx   *stm.Txn
 	inTx  bool
-	site  string
+	site  *siteKeys // current AtomicSite's counter keys; nil outside one
 	frees []pendingFree
 
 	// Flight-recorder state: the interned id of the current site, the
@@ -336,6 +336,12 @@ type Ctx struct {
 	// siteIDs caches recorder site-id interning per thread in shard mode
 	// (first encounters intern through an exclusive boundary op).
 	siteIDs map[string]int32
+
+	// sites interns per-site counter keys per thread, so AtomicSite
+	// builds no strings after a site's first use (per-thread, so safe in
+	// the shard parallel phase). Aborts still build their keys: they are
+	// rare next to commits.
+	sites map[string]*siteKeys
 
 	// rmwFn is the persistent boundary closure for sharded RMW, with its
 	// arguments and result passed through the fields below — allocating a
@@ -480,16 +486,37 @@ type restartSignal struct{}
 // the inputs for the paper's per-transaction tables (IV and V).
 func (c *Ctx) AtomicSite(site string, body func(t Tx)) {
 	prev, prevID := c.site, c.obsSite
-	c.site = site
+	keys := c.internSite(site)
+	c.site = keys
 	if r := c.sys.Obs; r != nil {
 		c.obsSite = c.siteID(r, site)
 	}
 	start := c.P.Cycles()
 	c.Atomic(body)
 	cnt := c.cnt()
-	cnt.Add("site:"+site+":cycles", c.P.Cycles()-start)
-	cnt.Inc("site:" + site + ":commits")
+	cnt.Add(keys.cycles, c.P.Cycles()-start)
+	cnt.Inc(keys.commits)
 	c.site, c.obsSite = prev, prevID
+}
+
+// siteKeys holds a site's name and its per-commit counter names.
+type siteKeys struct {
+	name, cycles, commits string
+}
+
+// internSite returns site's interned counter keys, building them on the
+// site's first use on this thread.
+func (c *Ctx) internSite(site string) *siteKeys {
+	if k, ok := c.sites[site]; ok {
+		return k
+	}
+	p := "site:" + site + ":"
+	k := &siteKeys{name: site, cycles: p + "cycles", commits: p + "commits"}
+	if c.sites == nil {
+		c.sites = make(map[string]*siteKeys)
+	}
+	c.sites[site] = k
+	return k
 }
 
 // siteID interns site on the recorder. SiteID is mutex-guarded for
@@ -596,12 +623,12 @@ func obsCause(c htm.Cause) obs.Cause {
 
 // noteSiteAbort records a per-site abort with its cause label.
 func (c *Ctx) noteSiteAbort(cause string) {
-	if c.site == "" {
+	if c.site == nil || c.site.name == "" {
 		return
 	}
 	cnt := c.cnt()
-	cnt.Inc("site:" + c.site + ":aborts")
-	cnt.Inc("site:" + c.site + ":abort." + cause)
+	cnt.Inc("site:" + c.site.name + ":aborts")
+	cnt.Inc("site:" + c.site.name + ":abort." + cause)
 }
 
 // rawTx: direct accesses (Seq and Lock backends, and the HTM fallback).

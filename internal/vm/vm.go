@@ -18,10 +18,16 @@ type CycleSink interface {
 	AddCycles(n uint64)
 }
 
-// PageTable tracks which pages are resident. The zero value is not usable;
-// use NewPageTable.
+// PageTable tracks which pages are resident. Every page is resident
+// except those marked fresh; fresh pages are bits in a bitmap that spans
+// the pages ever marked fresh (alloc.Heap grows contiguously from
+// alloc.HeapBase, so the span is dense), and any page outside the bitmap
+// is resident. The zero value is not usable; use NewPageTable.
 type PageTable struct {
-	touched     map[uint64]struct{}
+	fresh  []uint64 // bit i of word w: page first+64*w+i is fresh
+	first  uint64   // first page the bitmap covers (a multiple of 64)
+	nfresh int
+
 	FaultCycles uint64
 
 	// Faults counts serviced minor faults.
@@ -32,27 +38,42 @@ type PageTable struct {
 // resident except those explicitly marked fresh (so only allocator-grown
 // memory faults, like a warmed-up process image).
 func NewPageTable() *PageTable {
-	return &PageTable{
-		touched:     make(map[uint64]struct{}),
-		FaultCycles: DefaultFaultCycles,
-	}
+	return &PageTable{FaultCycles: DefaultFaultCycles}
 }
 
 func pageOf(addr uint64) uint64 { return addr / arch.PageSize }
 
-// fresh tracks non-resident pages; the touched map stores *fresh* pages to
-// keep the common case (resident) allocation-free.
+// bit locates the page holding addr in the bitmap. mask is 0 when the
+// page lies outside it (and so is resident).
+func (pt *PageTable) bit(addr uint64) (word uint64, mask uint64) {
+	i := pageOf(addr) - pt.first // wraps to a huge value below first
+	if i >= uint64(len(pt.fresh))*64 {
+		return 0, 0
+	}
+	return i / 64, 1 << (i % 64)
+}
+
+// claim makes the page holding addr resident and reports whether it was
+// fresh.
+func (pt *PageTable) claim(addr uint64) bool {
+	w, m := pt.bit(addr)
+	if m == 0 || pt.fresh[w]&m == 0 {
+		return false
+	}
+	pt.fresh[w] &^= m
+	pt.nfresh--
+	return true
+}
+
 // Touched reports whether the page holding addr is resident.
 func (pt *PageTable) Touched(addr uint64) bool {
-	_, fresh := pt.touched[pageOf(addr)]
-	return !fresh
+	w, m := pt.bit(addr)
+	return m == 0 || pt.fresh[w]&m == 0
 }
 
 // Touch makes the page holding addr resident.
 func (pt *PageTable) Touch(addr uint64) {
-	pg := pageOf(addr)
-	if _, fresh := pt.touched[pg]; fresh {
-		delete(pt.touched, pg)
+	if pt.claim(addr) {
 		pt.Faults++
 	}
 }
@@ -60,8 +81,33 @@ func (pt *PageTable) Touch(addr uint64) {
 // MarkFresh marks the byte range [base, base+size) as untouched (newly
 // mapped). The allocator calls this when it grows the heap.
 func (pt *PageTable) MarkFresh(base, size uint64) {
-	for pg := pageOf(base); pg <= pageOf(base+size-1); pg++ {
-		pt.touched[pg] = struct{}{}
+	lo, hi := pageOf(base), pageOf(base+size-1)
+	if hi < lo { // size 0 at a page boundary
+		return
+	}
+	pt.cover(lo, hi)
+	for pg := lo; pg <= hi; pg++ {
+		i := pg - pt.first
+		if m := uint64(1) << (i % 64); pt.fresh[i/64]&m == 0 {
+			pt.fresh[i/64] |= m
+			pt.nfresh++
+		}
+	}
+}
+
+// cover extends the bitmap to span pages [lo, hi].
+func (pt *PageTable) cover(lo, hi uint64) {
+	lo &^= 63
+	if len(pt.fresh) == 0 {
+		pt.first = lo
+	}
+	if lo < pt.first {
+		pre := make([]uint64, (pt.first-lo)/64, (pt.first-lo)/64+uint64(len(pt.fresh)))
+		pt.fresh = append(pre, pt.fresh...)
+		pt.first = lo
+	}
+	if need := int((hi-pt.first)/64) + 1; need > len(pt.fresh) {
+		pt.fresh = append(pt.fresh, make([]uint64, need-len(pt.fresh))...)
 	}
 }
 
@@ -69,9 +115,7 @@ func (pt *PageTable) MarkFresh(base, size uint64) {
 // if the page is fresh the fault cost is charged to sink and the page
 // becomes resident.
 func (pt *PageTable) Service(sink CycleSink, addr uint64) {
-	pg := pageOf(addr)
-	if _, fresh := pt.touched[pg]; fresh {
-		delete(pt.touched, pg)
+	if pt.claim(addr) {
 		pt.Faults++
 		if sink != nil {
 			sink.AddCycles(pt.FaultCycles)
@@ -80,4 +124,4 @@ func (pt *PageTable) Service(sink CycleSink, addr uint64) {
 }
 
 // FreshPages returns the number of currently fresh (untouched) pages.
-func (pt *PageTable) FreshPages() int { return len(pt.touched) }
+func (pt *PageTable) FreshPages() int { return pt.nfresh }
