@@ -6,7 +6,6 @@ package sim
 type Barrier struct {
 	n       int
 	waiting []*Proc
-	epoch   uint64
 }
 
 // NewBarrier returns a barrier for n threads.
@@ -43,10 +42,9 @@ func (b *Barrier) Wait(p *Proc) {
 	}
 	for _, w := range b.waiting {
 		w.clock = maxClock
-		p.unblock(w)
+		p.eng.push(w) // runnable again
 	}
 	b.waiting = b.waiting[:0]
-	b.epoch++
 	p.clock = maxClock
 	p.yield()
 }
@@ -73,6 +71,5 @@ func (b *Barrier) arriveShard(p *Proc) {
 		w.shardUnblock(maxClock)
 	}
 	b.waiting = b.waiting[:0]
-	b.epoch++
 	p.clock = maxClock
 }

@@ -1,10 +1,10 @@
 // Package sim is the deterministic multicore execution engine. Simulated
-// hardware threads are goroutines that yield to a min-clock scheduler at
-// every simulated operation; exactly one simulated thread runs at a time,
-// and the runnable thread with the smallest local cycle clock always runs
-// next (ties broken by thread id). This approximates the wall-clock
-// interleaving of real parallel hardware while keeping every run
-// reproducible bit-for-bit.
+// hardware threads are coroutines that a driver loop resumes one at a
+// time: at every simulated operation a thread suspends unless it still
+// has the smallest local cycle clock (ties broken by thread id), so the
+// run order comes from a min-clock heap, never from the Go scheduler.
+// This approximates the wall-clock interleaving of real parallel
+// hardware while keeping every run reproducible bit-for-bit.
 package sim
 
 import (
@@ -18,25 +18,18 @@ import (
 // PauseCycles is the cost of a PAUSE (spin-wait hint) instruction.
 const PauseCycles = 10
 
-type procState uint8
-
-const (
-	stateRunnable procState = iota
-	stateRunning
-	stateBlocked
-	stateDone
-)
-
 // Proc is one simulated hardware thread. All methods must be called from
-// the goroutine executing the thread's body.
+// the thread's own body.
 type Proc struct {
 	id    int
 	core  int
 	clock uint64
 	instr uint64
-	state procState
 	eng   *Engine
-	rsm   chan struct{}
+	// Coroutine handles (coro.go); nil when the body runs inline.
+	resume  func() (struct{}, bool)
+	coYield func(struct{}) bool
+	stop    func()
 
 	// sh is the per-thread state of the epoch-synchronized sharded
 	// engine (shard.go); nil under the classic min-clock engine.
@@ -58,10 +51,6 @@ func (p *Proc) Core() int { return p.core }
 
 // Cycles returns the thread's local clock.
 func (p *Proc) Cycles() uint64 { return p.clock }
-
-// Instructions returns the number of instructions the thread has executed,
-// including those on aborted (wasted) paths.
-func (p *Proc) Instructions() uint64 { return p.instr }
 
 // Engine returns the engine this proc belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -201,23 +190,19 @@ func (p *Proc) Pause() {
 
 // yield hands the CPU model to the runnable thread with the smallest
 // clock. The fast path (this thread is still the minimum, or it is the
-// only live thread) costs two compares and no channel traffic.
+// only live thread) costs two compares and no coroutine switch.
 func (p *Proc) yield() {
 	e := p.eng
-	if e.single || len(e.heap) == 0 || p.less(e.heap[0]) {
+	if len(e.heap) == 0 || p.less(e.heap[0]) {
 		return
 	}
 	// Someone else is earlier (or equal with a smaller id): switch to it.
 	// The ordering check guarantees heap[0] stays the minimum even with p
 	// included, so a single replace-at-root (one sift-down) stands in for
 	// the push+pop pair.
-	p.state = stateRunnable
 	e.switches++
-	next := e.replaceMin(p)
-	next.state = stateRunning
-	next.rsm <- struct{}{}
-	<-p.rsm
-	p.state = stateRunning
+	e.cur = e.replaceMin(p)
+	p.suspend()
 }
 
 // less orders procs by (clock, id).
@@ -231,40 +216,37 @@ func (p *Proc) less(q *Proc) bool {
 // block parks the thread until another thread unblocks it (see Barrier).
 func (p *Proc) block() {
 	e := p.eng
-	p.state = stateBlocked
 	e.switches++
-	next := e.pop()
-	if next == nil {
+	if e.cur = e.pop(); e.cur == nil {
 		panic(fmt.Sprintf("sim: deadlock: thread %d blocked with no runnable threads", p.id))
 	}
-	next.state = stateRunning
-	next.rsm <- struct{}{}
-	<-p.rsm
-	p.state = stateRunning
+	p.suspend()
 }
 
-// unblock makes q runnable again (caller must be the running proc).
-func (p *Proc) unblock(q *Proc) {
-	q.state = stateRunnable
-	p.eng.push(q)
-}
-
-// finish marks the thread done and hands off.
+// finish marks the thread done and picks the next thread to run.
 func (p *Proc) finish() {
 	e := p.eng
-	p.state = stateDone
 	e.coreLive[p.core]--
 	e.remaining--
-	if e.remaining == 0 {
-		e.finished <- struct{}{}
-		return
-	}
-	next := e.pop()
-	if next == nil {
+	if e.cur = e.pop(); e.cur == nil && e.remaining > 0 {
 		panic(fmt.Sprintf("sim: deadlock: thread %d finished but %d threads are blocked", p.id, e.remaining))
 	}
-	next.state = stateRunning
-	next.rsm <- struct{}{}
+}
+
+// run is the classic engine's driver loop. A body's panic leaves through
+// resume; stopAll then unwinds the other suspended bodies.
+func (e *Engine) run() {
+	defer e.stopAll()
+	for e.cur != nil {
+		e.cur.resume()
+	}
+}
+
+// stopAll unwinds every suspended thread body (coro.go).
+func (e *Engine) stopAll() {
+	for _, p := range e.procs {
+		p.stop()
+	}
 }
 
 // Engine drives one parallel region.
@@ -275,8 +257,7 @@ type Engine struct {
 	procs     []*Proc
 	heap      []*Proc
 	remaining int
-	finished  chan struct{}
-	single    bool // fast path for single-threaded regions
+	cur       *Proc // classic engine: the thread the driver resumes next
 
 	// Hyper-threading model: when coreLive[c] > 1 the sibling threads
 	// share the core pipeline and every op costs htNum/htDen x its solo
@@ -336,14 +317,12 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 	if n < 1 || n > cfg.MaxThreads() {
 		panic(fmt.Sprintf("sim: thread count %d out of range [1,%d]", n, cfg.MaxThreads()))
 	}
-	sharded := cfg.Shard.Shards != 0
 	e := &Engine{
 		Cfg:       cfg,
 		H:         h,
 		procs:     make([]*Proc, 0, n),
 		heap:      make([]*Proc, 0, n),
 		remaining: n,
-		single:    n == 1 && !sharded,
 		coreLive:  make([]int, cfg.Cores),
 		htNum:     31,
 		htDen:     20,
@@ -361,16 +340,13 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 			eng:  e,
 			Rng:  rng.New(seed*0x9e3779b9 + uint64(i) + 1),
 		}
-		if !e.single {
-			p.rsm = make(chan struct{})
-		}
 		e.procs = append(e.procs, p)
 		e.coreLive[p.core]++
 	}
 	// Shard state is attached before setup so the TM layers can install
 	// their shard-mode hooks when they see p.Sharded().
 	var se *shardEngine
-	if sharded {
+	if cfg.Shard.Shards != 0 {
 		se = newShardEngine(e)
 	}
 	for _, p := range e.procs {
@@ -384,34 +360,23 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 			h.Stats = h.Stats.Add(p.sh.stats)
 			e.switches += p.sh.parks
 		}
-	} else if e.single {
-		// Single-threaded regions need no scheduling: run the body inline
-		// on the caller's goroutine, skipping the channels and handoffs
-		// entirely. Every op's yield takes the e.single fast path.
-		p := e.procs[0]
-		p.state = stateRunning
-		body(p)
-		p.state = stateDone
-		e.coreLive[p.core]--
-		e.remaining--
+	} else if n == 1 {
+		// One thread needs no scheduling: its body runs inline on the
+		// caller's goroutine, and every yield takes the empty-heap path.
+		body(e.procs[0])
+		e.procs[0].finish()
 	} else {
-		e.finished = make(chan struct{})
-		for _, p := range e.procs {
-			p := p
-			go func() {
-				<-p.rsm
-				p.state = stateRunning
-				body(p)
-				p.finish()
-			}()
+		// Thread 0 runs first; the others wait in the heap in this push
+		// order. Waiting threads' clocks can move (a conflict abort
+		// charges its victim), so the heap's layout is part of the schedule.
+		for i := n - 1; i >= 0; i-- {
+			e.procs[i].start(body, (*Proc).finish)
+			if i > 0 {
+				e.push(e.procs[i])
+			}
 		}
-		// Start every thread except the first in the heap; kick off
-		// thread 0.
-		for i := n - 1; i >= 1; i-- {
-			e.push(e.procs[i])
-		}
-		e.procs[0].rsm <- struct{}{}
-		<-e.finished
+		e.cur = e.procs[0]
+		e.run()
 	}
 
 	res := Result{

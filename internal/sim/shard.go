@@ -85,9 +85,6 @@ type ShardDef struct {
 	Ev   obs.Event
 }
 
-// Cycle returns the simulated cycle at which the operation was issued.
-func (d *ShardDef) Cycle() uint64 { return d.cycle }
-
 // Parked synchronous operation kinds.
 const (
 	pNone uint8 = iota
@@ -128,8 +125,8 @@ type procShard struct {
 	opFn    func()
 	opRet   int64
 	// panicVal carries a panic raised inside an exclusive fn (which runs
-	// on the coordinator) back to the owning goroutine, preserving the
-	// TM layers' abort-by-panic control flow.
+	// on the coordinator) back to the owning thread, preserving the TM
+	// layers' abort-by-panic control flow.
 	panicVal any
 
 	parks       uint64 // total parks (op parks + epoch-end yield parks)
@@ -141,10 +138,10 @@ type procShard struct {
 }
 
 type shardWorker struct {
-	se    *shardEngine
-	procs []*Proc
-	wake  chan struct{}
-	idle  chan struct{} // proc -> worker handoff when a proc parks
+	se       *shardEngine
+	procs    []*Proc
+	wake     chan struct{}
+	panicVal any // a thread body's panic: it ends loop; the coordinator re-raises it
 }
 
 type shardEngine struct {
@@ -192,11 +189,7 @@ func newShardEngine(e *Engine) *shardEngine {
 	}
 	e.H.InitShard()
 	for i := 0; i < nw; i++ {
-		se.workers = append(se.workers, &shardWorker{
-			se:   se,
-			wake: make(chan struct{}, 1),
-			idle: make(chan struct{}),
-		})
+		se.workers = append(se.workers, &shardWorker{se: se, wake: make(chan struct{}, 1)})
 	}
 	for _, p := range e.procs {
 		p := p
@@ -216,20 +209,22 @@ func newShardEngine(e *Engine) *shardEngine {
 }
 
 // run executes the region: parallel epochs alternating with serial
-// boundaries until every thread's body has returned.
+// boundaries until every thread's body has returned. Panics leave run
+// only while every worker is idle, so the teardown may unwind threads.
 func (se *shardEngine) run(body func(*Proc)) {
 	e := se.e
+	for _, p := range e.procs {
+		p.start(body, (*Proc).shardFinish)
+	}
 	for _, w := range se.workers {
 		go w.loop()
 	}
-	for _, p := range e.procs {
-		p := p
-		go func() {
-			<-p.rsm
-			body(p)
-			p.shardFinish()
-		}()
-	}
+	defer func() {
+		for _, w := range se.workers {
+			close(w.wake)
+		}
+		e.stopAll()
+	}()
 	for {
 		se.epochs++
 		e.shardParallel = true
@@ -240,14 +235,16 @@ func (se *shardEngine) run(body func(*Proc)) {
 			<-se.done
 		}
 		e.shardParallel = false
+		for _, w := range se.workers {
+			if v := w.panicVal; v != nil {
+				panic(v)
+			}
+		}
 		if se.allDone() {
 			break
 		}
 		se.boundary()
 		se.advance()
-	}
-	for _, w := range se.workers {
-		close(w.wake)
 	}
 }
 
@@ -261,12 +258,16 @@ func (se *shardEngine) allDone() bool {
 }
 
 func (w *shardWorker) loop() {
+	defer func() {
+		if w.panicVal = recover(); w.panicVal != nil {
+			w.se.done <- struct{}{}
+		}
+	}()
 	for range w.wake {
 		end := w.se.end
 		for _, p := range w.procs {
 			for p.sh.status == shRun && p.clock < end {
-				p.rsm <- struct{}{}
-				<-w.idle
+				p.resume()
 			}
 		}
 		w.se.done <- struct{}{}
@@ -470,7 +471,7 @@ func (se *shardEngine) applyDef(p *Proc, d *ShardDef) {
 
 // execPark executes a thread's parked synchronous operation at the
 // boundary. Panics raised by exclusive fns (transaction aborts delivered
-// by the TM layers) are captured and re-raised on the owning goroutine.
+// by the TM layers) are captured and re-raised in the owning thread.
 func (se *shardEngine) execPark(p *Proc) {
 	ps := p.sh
 	h := se.e.H
@@ -553,9 +554,9 @@ func (p *Proc) ShardActive() bool {
 // the classic engine it runs inline (the engine is already serial); in
 // the shard parallel phase the thread parks and fn runs at the next
 // epoch boundary in (cycle, thread) order. fn may use the full direct
-// Proc API (timed loads/stores, clock advances); panics unwind on p's
-// own goroutine. Hot callers should pre-bind fn once and pass parameters
-// through fields to stay allocation-free.
+// Proc API (timed loads/stores, clock advances); its panics are raised
+// again in p's body. Hot callers should pre-bind fn once and pass
+// parameters through fields to stay allocation-free.
 func (p *Proc) Exclusive(fn func()) {
 	if p.ShardActive() {
 		p.shardParkOp(pExcl, 0, 0, fn)
@@ -651,8 +652,7 @@ func (p *Proc) shardYield() {
 		return
 	}
 	ps.parks++
-	ps.w.idle <- struct{}{}
-	<-p.rsm
+	p.suspend()
 }
 
 // shardParkOp parks the thread with a synchronous operation; the
@@ -671,8 +671,7 @@ func (p *Proc) shardParkOp(kind uint8, addr uint64, val int64, fn func()) int64 
 	ps.status = shOpWait
 	ps.parks++
 	ps.opParks++
-	ps.w.idle <- struct{}{}
-	<-p.rsm
+	p.suspend()
 	if v := ps.panicVal; v != nil {
 		ps.panicVal = nil
 		panic(v)
@@ -682,12 +681,10 @@ func (p *Proc) shardParkOp(kind uint8, addr uint64, val int64, fn func()) int64 
 
 // shardFinish runs after the thread body returns: the bookkeeping
 // (core-liveness, remaining count) is applied at a boundary in cycle
-// order so sibling hyper-thread scaling changes deterministically, then
-// the goroutine hands control back to its worker and exits.
+// order so sibling hyper-thread scaling changes deterministically.
 func (p *Proc) shardFinish() {
 	p.shardParkOp(pExcl, 0, 0, p.sh.finishFn)
 	p.sh.status = shDone
-	p.sh.w.idle <- struct{}{}
 }
 
 // shardBlock converts the current boundary execution of this thread's

@@ -3,6 +3,7 @@ package tm
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rtmlab/internal/arch"
@@ -76,6 +77,46 @@ func TestFaultClassicPropagates(t *testing.T) {
 					panic("workload bug")
 				})
 			})
+		})
+	}
+}
+
+// TestRegionPanicUnwindsTransactions pins the sandbox's one exception: a
+// panic in one thread body tears down a sharded region while the other
+// threads are suspended inside speculative attempts, and the engine's
+// unwind (sim.Unwinding) must end those bodies rather than turn into an
+// abort and a retry that runs them to completion.
+func TestRegionPanicUnwindsTransactions(t *testing.T) {
+	for _, b := range []Backend{HTM, STM} {
+		b := b
+		t.Run(b.String(), func(t *testing.T) {
+			sys := NewSystem(shardCfg(2), b)
+			var finished atomic.Int32
+			v := func() (v any) {
+				defer func() { v = recover() }()
+				sys.Run(4, 7, func(c *Ctx) {
+					if c.P.ID() == 3 {
+						c.P.Work(arch.DefaultEpochCycles)
+						panic("boom")
+					}
+					for i := 0; i < 200; i++ {
+						c.Atomic(func(tx Tx) {
+							for a := uint64(0); a < 8; a++ {
+								addr := a * arch.LineSize
+								tx.Store(addr, tx.Load(addr)+1)
+							}
+						})
+					}
+					finished.Add(1)
+				})
+				return nil
+			}()
+			if v != "boom" {
+				t.Fatalf("Run panicked with %v, want boom", v)
+			}
+			if n := finished.Load(); n != 0 {
+				t.Fatalf("%d thread bodies ran to completion after the region panicked", n)
+			}
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"rtmlab/internal/locks"
 	"rtmlab/internal/mem"
 	"rtmlab/internal/obs"
+	"rtmlab/internal/sim"
 	"rtmlab/internal/stm"
 )
 
@@ -263,8 +264,12 @@ func (c *Ctx) attempt(kind attemptKind, body func(t Tx)) (ok bool, ab htm.Abort)
 // fault only reaches the OS if the non-speculative re-execution repeats
 // it. The direct path runs the body non-speculatively, so a genuine
 // workload bug still crashes, and faults under the classic engine (which
-// is opaque) propagate.
+// is opaque) propagate. So does the engine's teardown of a region whose
+// other thread panicked (sim.Unwinding), which must reach the body's end.
 func (c *Ctx) aborted(kind attemptKind, r any) htm.Abort {
+	if sim.Unwinding(r) {
+		panic(r)
+	}
 	switch kind {
 	case attemptDirect:
 		if _, is := r.(restartSignal); is {

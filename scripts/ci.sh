@@ -33,8 +33,10 @@ echo "== e2ebench module (vet + tests) =="
 # The end-to-end benchmark is a module of its own that imports rtmlab
 # through a replace directive, so the root ./... never builds it. Vet
 # and test it here: a removed rtmlab API it uses fails CI, not the
-# benchmark run.
-(cd e2ebench && go vet ./... && go test ./...)
+# benchmark run. The environment matches e2ebench/run.sh's build (local
+# toolchain, read-only go.mod), so a root go.mod bump that the pinned
+# e2ebench/go.mod cannot follow fails here the same way.
+(cd e2ebench && export GOTOOLCHAIN=local GOFLAGS=-mod=readonly && go vet ./... && go test ./...)
 
 echo "== go test -race (all packages) =="
 go test -race -short -timeout 10m ./...
